@@ -1,11 +1,16 @@
 let max_level = 32
 
-(* The head sentinel holds no key; [forward.(l)] is the first real node at
-   level l. Real nodes have towers of length [height]. *)
+(* Every level of the list ends at [nil], whose key is [max_int], so a
+   search hop is [while nxt.key < key]: one load from the link to the
+   node and no end-of-level test. The head holds no key; [forward.(l)]
+   is the first node at level l, or [nil]. Real nodes have towers of
+   length [height]. [nil] is shared by all lists and never written. *)
 type node = {
   key : int;
-  forward : node option array;
+  forward : node array;
 }
+
+let nil = { key = max_int; forward = [||] }
 
 type t = {
   head : node;
@@ -16,7 +21,7 @@ type t = {
 
 let create ?(seed = 0xBA7C4) () =
   {
-    head = { key = min_int; forward = Array.make max_level None };
+    head = { key = min_int; forward = Array.make max_level nil };
     level = 1;
     size = 0;
     rng = Util.Rng.create ~seed;
@@ -24,15 +29,15 @@ let create ?(seed = 0xBA7C4) () =
 
 let length t = t.size
 
-(* Geometric heights with p = 1/2, capped. *)
+(* Geometric heights with p = 1/2, capped: one plus the number of
+   trailing one bits of the draw. *)
 let random_height t =
-  let bits = Util.Rng.next64 t.rng in
-  let rec count h =
-    if h >= max_level then max_level
-    else if Int64.logand (Int64.shift_right_logical bits (h - 1)) 1L = 1L then count (h + 1)
-    else h
-  in
-  count 1
+  let bits = Int64.to_int (Util.Rng.next64 t.rng) in
+  let h = ref 1 in
+  while !h < max_level && (bits lsr (!h - 1)) land 1 = 1 do
+    incr h
+  done;
+  !h
 
 type insert_record = { key : int; mutable inserted : bool }
 type mem_record = { mem_key : int; mutable found : bool }
@@ -50,21 +55,33 @@ let mem key = Mem { mem_key = key; found = false }
 let delete key = Delete { del_key = key; deleted = false }
 let range ~lo ~hi = Range { r_lo = lo; r_hi = hi; r_keys = [] }
 
-(* Fill [update] with, per level, the rightmost node whose key is < key,
-   starting the search at [start] from level [t.level - 1]. *)
+(* The rightmost node at level [l], from [start] on, whose key is < key. *)
+let advance (start : node) l key =
+  let x = ref start and nxt = ref start.forward.(l) in
+  while !nxt.key < key do
+    x := !nxt;
+    nxt := !nxt.forward.(l)
+  done;
+  !x
+
+(* Fill [update] with, per level, the rightmost node whose key is < key. *)
 let search_update t (update : node array) key =
   let x = ref t.head in
   for l = t.level - 1 downto 0 do
-    let rec advance () =
-      match !x.forward.(l) with
-      | Some nxt when nxt.key < key ->
-          x := nxt;
-          advance ()
-      | _ -> ()
-    in
-    advance ();
+    x := advance !x l key;
     update.(l) <- !x
   done
+
+(* The rightmost level-0 node whose key is < key; allocates nothing. *)
+let predecessor t key =
+  let x = ref t.head in
+  for l = t.level - 1 downto 0 do
+    x := advance !x l key
+  done;
+  !x
+
+(* [nil] carries [max_int], so a key match must also rule out [nil]. *)
+let holds (n : node) key = n.key = key && n != nil
 
 let splice t (update : node array) key =
   let h = random_height t in
@@ -74,100 +91,87 @@ let splice t (update : node array) key =
     done;
     t.level <- h
   end;
-  let fresh = { key; forward = Array.make h None } in
+  let fresh = { key; forward = Array.make h nil } in
   for l = 0 to h - 1 do
     fresh.forward.(l) <- update.(l).forward.(l);
-    update.(l).forward.(l) <- Some fresh
+    update.(l).forward.(l) <- fresh
   done;
   t.size <- t.size + 1
 
 let insert_seq t key =
   let update = Array.make max_level t.head in
   search_update t update key;
-  let duplicate =
-    match update.(0).forward.(0) with
-    | Some nxt -> nxt.key = key
-    | None -> false
-  in
-  if duplicate then false
+  if holds update.(0).forward.(0) key then false
   else begin
     splice t update key;
     true
   end
 
-let mem_seq t key =
-  let x = ref t.head in
-  for l = t.level - 1 downto 0 do
-    let rec advance () =
-      match !x.forward.(l) with
-      | Some nxt when nxt.key < key ->
-          x := nxt;
-          advance ()
-      | _ -> ()
-    in
-    advance ()
-  done;
-  match !x.forward.(0) with Some nxt -> nxt.key = key | None -> false
+let mem_seq t key = holds (predecessor t key).forward.(0) key
 
 let delete_seq t key =
   let update = Array.make max_level t.head in
   search_update t update key;
-  match update.(0).forward.(0) with
-  | Some victim when victim.key = key ->
-      (* Unlink the victim's tower at every level it participates in. *)
-      let h = Array.length victim.forward in
-      for l = 0 to h - 1 do
-        match update.(l).forward.(l) with
-        | Some n when n == victim -> update.(l).forward.(l) <- victim.forward.(l)
-        | _ -> ()
-      done;
-      (* Lower the list level past now-empty levels. *)
-      while t.level > 1 && t.head.forward.(t.level - 1) = None do
-        t.level <- t.level - 1
-      done;
-      t.size <- t.size - 1;
-      true
-  | _ -> false
+  let victim = update.(0).forward.(0) in
+  if not (holds victim key) then false
+  else begin
+    (* Unlink the victim's tower at every level it participates in. *)
+    for l = 0 to Array.length victim.forward - 1 do
+      if update.(l).forward.(l) == victim then
+        update.(l).forward.(l) <- victim.forward.(l)
+    done;
+    (* Lower the list level past now-empty levels. *)
+    while t.level > 1 && t.head.forward.(t.level - 1) == nil do
+      t.level <- t.level - 1
+    done;
+    t.size <- t.size - 1;
+    true
+  end
+
+(* Keys of [n] and its level-0 successors that are < hi, in order;
+   [nil]'s [max_int] ends the walk for every [hi]. *)
+let[@tail_mod_cons] rec keys_below hi (n : node) =
+  if n.key < hi then n.key :: keys_below hi n.forward.(0) else []
 
 (* Keys in [lo, hi), ascending: skip down to the predecessor of [lo],
    then walk level 0. O(lg n + answer). *)
-let range_seq t ~lo ~hi =
-  let update = Array.make max_level t.head in
-  search_update t update lo;
-  let rec collect acc = function
-    | Some (n : node) when n.key < hi -> collect (n.key :: acc) n.forward.(0)
-    | _ -> List.rev acc
-  in
-  collect [] update.(0).forward.(0)
+let range_seq t ~lo ~hi = keys_below hi (predecessor t lo).forward.(0)
 
-let run_batch t d =
-  (* Step 1 (build): collect and sort the batch's insert keys. Step 2
-     (search) + step 3 (splice): ascending order lets each search resume
-     from the previous splice point, the sequential analogue of the
-     paper's parallel search phase. *)
+(* The paper's BOP with a caller-supplied parallel-for. Step 1 (build):
+   stably sort the batch's insert records by key, so the first of
+   duplicate keys in batch order is the one inserted. Step 2 (search):
+   every key's update array is computed concurrently — searches only
+   read the list. Step 3 (splice): sequential over ascending keys; a
+   saved update entry may be stale where an earlier (smaller) key of the
+   same batch spliced in front of it, so each level pointer is
+   re-advanced before linking. Levels that appeared since the search
+   still hold [t.head], which is where their search starts. *)
+let run_batch_with ~pfor t d =
   let inserts =
-    Array.to_list d
-    |> List.filter_map (function
-         | Insert r -> Some r
-         | Mem _ | Delete _ | Range _ -> None)
+    Array.of_list
+      (Array.fold_right
+         (fun op acc -> match op with Insert r -> r :: acc | Mem _ | Delete _ | Range _ -> acc)
+         d [])
   in
-  let sorted =
-    List.sort (fun (a : insert_record) b -> compare a.key b.key) inserts
-  in
-  let update = Array.make max_level t.head in
-  List.iter
-    (fun (r : insert_record) ->
-      search_update t update r.key;
-      let duplicate =
-        match update.(0).forward.(0) with
-        | Some nxt -> nxt.key = r.key
-        | None -> false
-      in
-      if not duplicate then begin
-        splice t update r.key;
-        r.inserted <- true
-      end)
-    sorted;
+  Array.stable_sort (fun (a : insert_record) b -> Int.compare a.key b.key) inserts;
+  let x = Array.length inserts in
+  let updates = Array.make x [||] in
+  (* Parallel search phase. *)
+  pfor x (fun i ->
+      let u = Array.make max_level t.head in
+      search_update t u inserts.(i).key;
+      updates.(i) <- u);
+  (* Sequential splice phase with revalidation. *)
+  for i = 0 to x - 1 do
+    let r = inserts.(i) and u = updates.(i) in
+    for l = t.level - 1 downto 0 do
+      u.(l) <- advance u.(l) l r.key
+    done;
+    if not (holds u.(0).forward.(0) r.key) then begin
+      splice t u r.key;
+      r.inserted <- true
+    end
+  done;
   (* Delete phase. *)
   Array.iter
     (function
@@ -182,97 +186,48 @@ let run_batch t d =
       | Range r -> r.r_keys <- range_seq t ~lo:r.r_lo ~hi:r.r_hi)
     d
 
-(* The paper's BOP with a caller-supplied parallel-for. Step 1 (build):
-   sort the batch's insert keys. Step 2 (search): every key's update
-   array is computed concurrently — searches only read the list. Step 3
-   (splice): sequential over ascending keys; a saved update entry may be
-   stale where an earlier (smaller) key of the same batch spliced in
-   front of it, so each level pointer is re-advanced before linking. *)
-let run_batch_with ~pfor t d =
-  let inserts =
-    Array.to_list d
-    |> List.filter_map (function
-         | Insert r -> Some r
-         | Mem _ | Delete _ | Range _ -> None)
-    |> List.sort (fun (a : insert_record) b -> compare a.key b.key)
-    |> Array.of_list
-  in
-  let x = Array.length inserts in
-  let updates = Array.init x (fun _ -> [||]) in
-  (* Parallel search phase. *)
-  pfor x (fun i ->
-      let u = Array.make max_level t.head in
-      search_update t u inserts.(i).key;
-      updates.(i) <- u);
-  (* Sequential splice phase with revalidation. *)
-  Array.iteri
-    (fun i (r : insert_record) ->
-      let u = updates.(i) in
-      (* New levels may have appeared since the search. *)
-      let u =
-        if Array.length u < max_level then Array.make max_level t.head else u
-      in
-      for l = t.level - 1 downto 0 do
-        let rec advance () =
-          match u.(l).forward.(l) with
-          | Some nxt when nxt.key < r.key ->
-              u.(l) <- nxt;
-              advance ()
-          | _ -> ()
-        in
-        advance ()
-      done;
-      let duplicate =
-        match u.(0).forward.(0) with
-        | Some nxt -> nxt.key = r.key
-        | None -> false
-      in
-      if not duplicate then begin
-        splice t u r.key;
-        r.inserted <- true
-      end)
-    inserts;
-  (* Delete and query phases, as in the sequential core. *)
-  Array.iter
-    (function
-      | Delete r -> r.deleted <- delete_seq t r.del_key
-      | Insert _ | Mem _ | Range _ -> ())
-    d;
-  Array.iter
-    (function
-      | Insert _ | Delete _ -> ()
-      | Mem r -> r.found <- mem_seq t r.mem_key
-      | Range r -> r.r_keys <- range_seq t ~lo:r.r_lo ~hi:r.r_hi)
-    d
+let run_batch t d =
+  run_batch_with
+    ~pfor:(fun count body ->
+      for i = 0 to count - 1 do
+        body i
+      done)
+    t d
 
 let to_list t =
-  let rec go acc = function
-    | None -> List.rev acc
-    | Some (n : node) -> go (n.key :: acc) n.forward.(0)
-  in
-  go [] t.head.forward.(0)
+  let[@tail_mod_cons] rec go (n : node) = if n == nil then [] else n.key :: go n.forward.(0) in
+  go t.head.forward.(0)
 
+(* Linear: level 0 is checked for order, size and tower heights; then
+   each level l >= 1 is walked in lockstep with level l-1 and must be
+   exactly the level-(l-1) nodes taller than l — by induction, the
+   level-0 nodes taller than l. *)
 let check_invariants t =
-  (* Level-0 keys strictly ascending and size consistent. *)
-  let keys = to_list t in
-  let rec sorted = function
-    | a :: (b :: _ as rest) ->
-        if a >= b then failwith "Skiplist: keys not strictly ascending";
-        sorted rest
-    | _ -> ()
-  in
-  sorted keys;
-  if List.length keys <> t.size then failwith "Skiplist: size mismatch";
-  (* Every level-l list is a subsequence of the level-0 list. *)
-  for l = 1 to t.level - 1 do
-    let rec walk = function
-      | None -> ()
-      | Some (n : node) ->
-          if not (List.mem n.key keys) then failwith "Skiplist: orphan tower";
-          if Array.length n.forward <= l then failwith "Skiplist: tower too short";
-          walk n.forward.(l)
-    in
-    walk t.head.forward.(l)
+  let count = ref 0 and tallest = ref 0 in
+  let n = ref t.head.forward.(0) in
+  while !n != nil do
+    let h = Array.length !n.forward in
+    if h < 1 || h > max_level then failwith "Skiplist: tower height out of range";
+    let next = !n.forward.(0) in
+    if next != nil && next.key <= !n.key then failwith "Skiplist: keys not strictly ascending";
+    incr count;
+    tallest := max !tallest h;
+    n := next
+  done;
+  if !count <> t.size then failwith "Skiplist: size mismatch";
+  if t.level <> max 1 !tallest then failwith "Skiplist: level is not the highest non-empty level";
+  for l = 1 to max_level - 1 do
+    let below = ref t.head.forward.(l - 1) and here = ref t.head.forward.(l) in
+    while !below != nil do
+      if Array.length !below.forward > l then begin
+        if !here != !below then
+          failwith (Printf.sprintf "Skiplist: level %d is not the taller nodes of level %d" l (l - 1));
+        here := !here.forward.(l)
+      end;
+      below := !below.forward.(l - 1)
+    done;
+    if !here != nil then
+      failwith (Printf.sprintf "Skiplist: level %d holds a node missing from level %d" l (l - 1))
   done
 
 let sim_model ~initial_size ?(records_per_node = 1) ?(search_scale = 1.0) () =

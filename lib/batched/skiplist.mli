@@ -4,14 +4,24 @@
     The batched insert (BOP) follows the paper's three steps: (1) build a
     small list from the batch's records, (2) search for every record's
     position in the main list, (3) splice. In the real implementation the
-    records are sorted and spliced with a resuming finger, so a batch of
-    [x] keys costs O(x + lg N) expected beyond the per-key splice work;
-    the simulator cost model exposes the parallel shape (searches in
-    parallel, build/splice sequential), exactly as the prototype in the
-    paper did.
+    records are stably sorted, each one's per-level predecessors are
+    searched (in parallel under {!run_batch_with}), and the splice runs in
+    ascending key order, re-advancing any predecessor that an earlier key
+    of the batch spliced past. The simulator cost model exposes the same
+    parallel shape (searches in parallel, build/splice sequential), exactly
+    as the prototype in the paper did.
 
-    Tower heights come from a deterministic private stream, so runs are
-    reproducible. Keys are a set: inserting a present key is a no-op. *)
+    Layout: a node's tower is a plain [node array], and every level ends
+    at one shared sentinel node whose key is [max_int]. A search hop is
+    then [while next.key < key]: one dependent load from a link to the
+    next node, no [option] block between them, no end-of-level test, and
+    no allocation. A stored [max_int] key is told apart from the sentinel
+    by identity.
+
+    Tower heights come from a deterministic private stream (one
+    [Util.Rng.next64] draw per fresh key: one plus its trailing one bits,
+    capped at 32), so runs are reproducible. Keys are a set: inserting a
+    present key is a no-op. *)
 
 type t
 
@@ -41,8 +51,10 @@ val delete : int -> op
 val range : lo:int -> hi:int -> op
 
 val run_batch : t -> op array -> unit
-(** Phase order within a batch: inserts, then deletes, then queries
-    (membership and ranges, which observe the batch's net effect). *)
+(** {!run_batch_with} with a sequential [pfor]. Phase order within a
+    batch: inserts, then deletes, then queries (membership and ranges,
+    which observe the batch's net effect). Of duplicate insert keys in one
+    batch, the first in batch order is the one marked [inserted]. *)
 
 val run_batch_with :
   pfor:(int -> (int -> unit) -> unit) -> t -> op array -> unit
@@ -56,21 +68,28 @@ val run_batch_with :
 
 val insert_seq : t -> int -> bool
 (** Single-key insert; [true] if the key was new. The sequential baseline
-    of Figure 5. *)
+    of Figure 5. A fresh key allocates a 32-entry update buffer, the new
+    node and its tower, plus what the height draw allocates. *)
 
 val mem_seq : t -> int -> bool
+(** Allocates nothing. *)
 
 val delete_seq : t -> int -> bool
 (** [true] if the key was present (and is now removed). *)
 
 val range_seq : t -> lo:int -> hi:int -> int list
-(** Stored keys in [\[lo, hi)], ascending; O(lg n + answer). *)
+(** Stored keys in [\[lo, hi)], ascending; O(lg n + answer). Allocates
+    only the result list. *)
 
 val to_list : t -> int list
 (** Ascending key order. *)
 
 val check_invariants : t -> unit
-(** Validates sortedness and tower consistency; raises [Failure]. *)
+(** Linear-time validation; raises [Failure]. Level 0 is strictly
+    ascending and holds [length t] nodes; every level-l list is exactly
+    the level-0 nodes taller than l, in order (so a node of height h
+    appears on every level below h and on no other); and the list's level
+    is the highest non-empty one. *)
 
 val sim_model :
   initial_size:int -> ?records_per_node:int -> ?search_scale:float -> unit -> Model.t

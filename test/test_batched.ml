@@ -367,6 +367,83 @@ let test_skiplist_parallel_bop_duplicates () =
   Alcotest.(check (list int)) "dedup" [ 3; 5 ] (Sk.to_list s);
   Sk.check_invariants s
 
+let test_skiplist_max_int_key () =
+  (* Every level ends at a sentinel whose key is max_int; a stored
+     max_int must still be told apart from it. *)
+  let s = Sk.create () in
+  Alcotest.(check bool) "absent on empty" false (Sk.mem_seq s max_int);
+  Alcotest.(check bool) "delete absent" false (Sk.delete_seq s max_int);
+  Alcotest.(check bool) "insert" true (Sk.insert_seq s max_int);
+  Alcotest.(check bool) "duplicate" false (Sk.insert_seq s max_int);
+  ignore (Sk.insert_seq s 3);
+  Alcotest.(check bool) "mem" true (Sk.mem_seq s max_int);
+  Alcotest.(check (list int)) "to_list" [ 3; max_int ] (Sk.to_list s);
+  Alcotest.(check (list int)) "half-open range" [ 3 ] (Sk.range_seq s ~lo:min_int ~hi:max_int);
+  Sk.check_invariants s;
+  Alcotest.(check bool) "delete" true (Sk.delete_seq s max_int);
+  Alcotest.(check (list int)) "after delete" [ 3 ] (Sk.to_list s);
+  Sk.check_invariants s
+
+let test_skiplist_check_invariants_large () =
+  (* check_invariants is linear, so it runs on a full-size list. *)
+  let s = Sk.create ~seed:3 () in
+  let rng = Util.Rng.create ~seed:11 in
+  let n = 200_000 in
+  let keys = Array.init n Fun.id in
+  Util.Rng.shuffle rng keys;
+  Array.iter (fun k -> ignore (Sk.insert_seq s k)) keys;
+  for k = 0 to (n / 10) - 1 do
+    ignore (Sk.delete_seq s (10 * k))
+  done;
+  Alcotest.(check int) "length" (n - (n / 10)) (Sk.length s);
+  Sk.check_invariants s
+
+(* Minor words [f] allocates, net of the measurement's own. *)
+let minor_words_of f =
+  let words g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  int_of_float (words f -. words ignore)
+
+(* The height rule: one plus the trailing one bits of the draw, capped at
+   the list's 32 levels. *)
+let height_of_draw bits =
+  let bits = Int64.to_int bits in
+  let h = ref 1 in
+  while !h < 32 && (bits lsr (!h - 1)) land 1 = 1 do
+    incr h
+  done;
+  !h
+
+let test_skiplist_allocation () =
+  let seed = 17 in
+  let s = Sk.create ~seed () in
+  (* Mirrors the list's private height stream: one draw per fresh key. *)
+  let mirror = Util.Rng.create ~seed in
+  for k = 0 to 49_999 do
+    ignore (Sk.insert_seq s (2 * k));
+    ignore (Util.Rng.next64 mirror)
+  done;
+  for k = 0 to 99 do
+    let key = (1000 * k) + 1 in
+    Alcotest.(check int) "mem_seq" 0 (minor_words_of (fun () -> ignore (Sk.mem_seq s key)));
+    Alcotest.(check int) "range_seq: the result list only" (3 * 5)
+      (minor_words_of (fun () -> ignore (Sk.range_seq s ~lo:key ~hi:(key + 10))))
+  done;
+  let probe = Util.Rng.create ~seed in
+  let draw_words = minor_words_of (fun () -> ignore (Util.Rng.next64 probe)) in
+  for k = 0 to 99 do
+    let h = height_of_draw (Util.Rng.next64 mirror) in
+    (* The 32-entry update buffer, the node record and its tower, and
+       whatever the height draw itself allocates. *)
+    let expect = (32 + 1) + 3 + (h + 1) + draw_words in
+    Alcotest.(check int) "insert_seq of a fresh key" expect
+      (minor_words_of (fun () -> ignore (Sk.insert_seq s ((1000 * k) + 3))))
+  done;
+  Sk.check_invariants s
+
 let prop_skiplist_parallel_bop_matches_set =
   QCheck.Test.make ~name:"parallel BOP batches match Set" ~count:100
     QCheck.(list_of_size Gen.(0 -- 8) (list_of_size Gen.(0 -- 20) (int_bound 300)))
@@ -621,6 +698,10 @@ let () =
           Alcotest.test_case "parallel BOP parity" `Quick test_skiplist_parallel_bop_parity;
           Alcotest.test_case "parallel BOP duplicates" `Quick
             test_skiplist_parallel_bop_duplicates;
+          Alcotest.test_case "max_int key" `Quick test_skiplist_max_int_key;
+          Alcotest.test_case "check_invariants at 200k keys" `Quick
+            test_skiplist_check_invariants_large;
+          Alcotest.test_case "allocation" `Quick test_skiplist_allocation;
         ] );
       ( "two_three",
         [
