@@ -226,10 +226,10 @@ let () =
             "  mode=%-13s K=%d x%-4g offered=%7.0f goodput=%7.0f req/s \
              (%.0f%%) p99=%.1fus"
             (Runtime.Batcher_rt.mode_name p.Svc.Sweep.mode)
-            p.Svc.Sweep.shards p.Svc.Sweep.mult p.Svc.Sweep.offered_req_s
+            p.Svc.Sweep.shards p.Svc.Sweep.mult p.Svc.Sweep.pt.Svc.Rt_driver.offered
             p.Svc.Sweep.pt.Svc.Rt_driver.goodput
             (100.0 *. p.Svc.Sweep.pt.Svc.Rt_driver.goodput
-            /. p.Svc.Sweep.offered_req_s)
+            /. p.Svc.Sweep.pt.Svc.Rt_driver.offered)
             (all.Svc.Latency.p99_ns /. 1e3);
           List.iter
             (fun (name, v) -> Printf.printf " %s=%.0f%%" name (100.0 *. v))

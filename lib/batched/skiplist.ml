@@ -72,6 +72,29 @@ let search_update t (update : node array) key =
     update.(l) <- !x
   done
 
+(* [search_update] for two keys at once: per level, both cursors advance
+   in one loop, one hop each per iteration while its own key is ahead.
+   The two chains of loads are independent, so the CPU overlaps their
+   cache misses where two [search_update] calls would wait out each
+   miss in turn. Allocates nothing. *)
+let search_pair t (u1 : node array) k1 (u2 : node array) k2 =
+  let x1 = ref t.head and x2 = ref t.head in
+  for l = t.level - 1 downto 0 do
+    let n1 = ref !x1.forward.(l) and n2 = ref !x2.forward.(l) in
+    while !n1.key < k1 || !n2.key < k2 do
+      if !n1.key < k1 then begin
+        x1 := !n1;
+        n1 := !n1.forward.(l)
+      end;
+      if !n2.key < k2 then begin
+        x2 := !n2;
+        n2 := !n2.forward.(l)
+      end
+    done;
+    u1.(l) <- !x1;
+    u2.(l) <- !x2
+  done
+
 (* The rightmost level-0 node whose key is < key; allocates nothing. *)
 let predecessor t key =
   let x = ref t.head in
@@ -141,7 +164,10 @@ let range_seq t ~lo ~hi = keys_below hi (predecessor t lo).forward.(0)
    stably sort the batch's insert records by key, so the first of
    duplicate keys in batch order is the one inserted. Step 2 (search):
    every key's update array is computed concurrently — searches only
-   read the list. Step 3 (splice): sequential over ascending keys; a
+   read the list. [pfor] runs over adjacent pairs of sorted keys, each
+   pair one interleaved [search_pair] walk (an odd last key walks
+   alone), so a two-key batch is a single [pfor] item that a pool runs
+   inline. Step 3 (splice): sequential over ascending keys; a
    saved update entry may be stale where an earlier (smaller) key of the
    same batch spliced in front of it, so each level pointer is
    re-advanced before linking. Levels that appeared since the search
@@ -156,11 +182,17 @@ let run_batch_with ~pfor t d =
   Array.stable_sort (fun (a : insert_record) b -> Int.compare a.key b.key) inserts;
   let x = Array.length inserts in
   let updates = Array.make x [||] in
-  (* Parallel search phase. *)
-  pfor x (fun i ->
-      let u = Array.make max_level t.head in
-      search_update t u inserts.(i).key;
-      updates.(i) <- u);
+  (* Parallel search phase, one pair of keys per item. *)
+  pfor ((x + 1) / 2) (fun p ->
+      let i = 2 * p in
+      let u1 = Array.make max_level t.head in
+      if i + 1 < x then begin
+        let u2 = Array.make max_level t.head in
+        search_pair t u1 inserts.(i).key u2 inserts.(i + 1).key;
+        updates.(i + 1) <- u2
+      end
+      else search_update t u1 inserts.(i).key;
+      updates.(i) <- u1);
   (* Sequential splice phase with revalidation. *)
   for i = 0 to x - 1 do
     let r = inserts.(i) and u = updates.(i) in

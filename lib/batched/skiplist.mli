@@ -5,7 +5,8 @@
     small list from the batch's records, (2) search for every record's
     position in the main list, (3) splice. In the real implementation the
     records are stably sorted, each one's per-level predecessors are
-    searched (in parallel under {!run_batch_with}), and the splice runs in
+    searched (in parallel under {!run_batch_with}, two keys per
+    interleaved walk), and the splice runs in
     ascending key order, re-advancing any predecessor that an earlier key
     of the batch spliced past. The simulator cost model exposes the same
     parallel shape (searches in parallel, build/splice sequential), exactly
@@ -64,7 +65,19 @@ val run_batch_with :
     revalidating each saved search position past splices of smaller keys
     from the same batch. Pass [Runtime.Pool.parallel_for pool ~lo:0
     ~hi:count] (suitably wrapped) to parallelize for real; behavior is
-    identical to {!run_batch} for any correct [pfor]. *)
+    identical to {!run_batch} for any correct [pfor].
+
+    Search contract. For a batch with [x] insert records, sorted by key,
+    [pfor] is called once with [count = (x + 1) / 2] (also when [x] is
+    0), and [body p] searches records [2p] and [2p + 1] in one
+    interleaved walk whose two chains of loads are independent, so
+    their cache misses overlap; the last record of an odd batch is
+    searched alone. Bodies only read the list and write disjoint
+    slots, so they may run in any order and concurrently. Each body
+    allocates one 33-word update buffer per record it searches and
+    nothing else. A one- or two-key batch is a single item, which
+    [Runtime.Pool.parallel_for] runs inline. The splice order, and so
+    every tower height, is the same as searching key by key. *)
 
 val insert_seq : t -> int -> bool
 (** Single-key insert; [true] if the key was new. The sequential baseline

@@ -136,51 +136,83 @@ let exec (task : task) = Effect.Deep.match_with task () handler
 let push_task = push_current
 let exec_inline _t task = exec task
 
+(* Steal victims come from a per-worker xorshift over an immediate int
+   held in a [ref], so a draw allocates nothing — an idle worker makes
+   2 x workers of them per round. Nothing deterministic depends on
+   which victim is picked, so the stream needs no quality beyond
+   spreading probes. The state is odd, hence never zero, and each
+   xorshift step is invertible, so it stays nonzero. *)
+let victim_rng t my_id = ref ((t.seed + (my_id * 0x9E3779B97F4A7C1)) lor 1)
+
+let step rng =
+  let x = !rng in
+  let x = x lxor (x lsl 13) in
+  let x = x lxor (x lsr 7) in
+  rng := x lxor (x lsl 17)
+
+let next_victim t my_id rng =
+  step rng;
+  (my_id + 1 + ((!rng lsr 1) mod (t.n - 1))) mod t.n
+
+(* Steps of the victim stream that end a failed round: about 100 ns of
+   plain arithmetic between one round's [cpu_relax] and the next.
+   Without them an idle worker's rounds, a few probes each, make an
+   almost pure PAUSE loop. On a 2-vCPU VM that raised the open-loop
+   benchmark's p50 (kv-open) by 10-20%, and a spin phase three times
+   longer raised it sixfold, as a hypervisor's pause-loop exiting
+   would. With the pad, p50 came back to within run-to-run noise of
+   the allocating draws, whose boxing had spaced the rounds alike. *)
+let round_pad = 60
+
 (* [misses] is the caller's consecutive-failure count: once the worker is
    past the first spin phase it is "in backoff", and failed steal probes
    are no longer emitted one-by-one — they are counted in [suppressed]
    and flushed as a single Steals_suppressed event on the next successful
    steal (so the steal-attempt histogram stays truthful without an idle
-   pool flooding its ring at ~2n events per backoff round). *)
+   pool flooding its ring at ~2n events per backoff round). A failed
+   round allocates nothing. *)
 let find_task t my_id rng ~misses ~suppressed =
   match Wsdeque.pop t.deques.(my_id) with
-  | Some task -> Some task
+  | Some _ as found -> found
   | None ->
       if t.n <= 1 then None
       else begin
         let observed = Obs.Recorder.enabled t.rc in
         let in_backoff = misses >= t.bo.spin_limit in
         (* A bounded sample of random steal attempts per call. *)
-        let tries0 = if t.bo.steal_tries > 0 then t.bo.steal_tries else 2 * t.n in
-        let rec attempt tries =
-          if tries = 0 then None
-          else begin
-            let victim = (my_id + 1 + Util.Rng.int rng (t.n - 1)) mod t.n in
-            match Wsdeque.steal t.deques.(victim) with
-            | Some task ->
-                if observed then begin
-                  (if !suppressed > 0 then begin
-                     Obs.Recorder.emit_steals_suppressed t.rc ~worker:my_id
-                       ~time:(Obs.Recorder.now t.rc) ~count:!suppressed;
-                     suppressed := 0
-                   end);
+        let tries = ref (if t.bo.steal_tries > 0 then t.bo.steal_tries else 2 * t.n) in
+        let found = ref None in
+        while !tries > 0 do
+          let victim = next_victim t my_id rng in
+          match Wsdeque.steal t.deques.(victim) with
+          | Some _ as stolen ->
+              if observed then begin
+                (if !suppressed > 0 then begin
+                   Obs.Recorder.emit_steals_suppressed t.rc ~worker:my_id
+                     ~time:(Obs.Recorder.now t.rc) ~count:!suppressed;
+                   suppressed := 0
+                 end);
+                Obs.Recorder.emit_steal t.rc ~worker:my_id
+                  ~time:(Obs.Recorder.now t.rc) ~victim ~success:true
+                  ~batch_deque:false
+              end;
+              found := stolen;
+              tries := 0
+          | None ->
+              if observed then begin
+                if in_backoff then incr suppressed
+                else
                   Obs.Recorder.emit_steal t.rc ~worker:my_id
-                    ~time:(Obs.Recorder.now t.rc) ~victim ~success:true
+                    ~time:(Obs.Recorder.now t.rc) ~victim ~success:false
                     ~batch_deque:false
-                end;
-                Some task
-            | None ->
-                if observed then begin
-                  if in_backoff then incr suppressed
-                  else
-                    Obs.Recorder.emit_steal t.rc ~worker:my_id
-                      ~time:(Obs.Recorder.now t.rc) ~victim ~success:false
-                      ~batch_deque:false
-                end;
-                attempt (tries - 1)
-          end
-        in
-        attempt tries0
+              end;
+              decr tries
+        done;
+        if Option.is_none !found then
+          for _ = 1 to round_pad do
+            step rng
+          done;
+        !found
       end
 
 (* Failed-steal backoff: spin briefly, then burst-spin, then sleep on an
@@ -206,7 +238,7 @@ let worker_loop t my_id =
     Pad.striped_set t.cls my_id Obs.Recorder.Wsched;
     Pad.striped_set t.seg my_id (Obs.Recorder.now t.rc)
   end;
-  let rng = Util.Rng.stream ~seed:t.seed ~index:my_id in
+  let rng = victim_rng t my_id in
   let misses = ref 0 in
   let suppressed = ref 0 in
   while not (Atomic.get t.stop) do
@@ -342,7 +374,7 @@ let run t f =
     Pad.striped_set t.seg 0 (Obs.Recorder.now t.rc)
   end;
   push_on t 0 root;
-  let rng = Util.Rng.stream ~seed:t.seed ~index:0 in
+  let rng = victim_rng t 0 in
   let misses = ref 0 in
   let suppressed = ref 0 in
   let finish () =

@@ -20,8 +20,10 @@ type backoff = {
 (** Idle-worker policy. A worker that finds no task counts consecutive
     "misses": below [spin_limit] it relaxes once per miss; below
     [burst_limit] it relaxes [spin_burst] times per miss; past that it
-    sleeps [sleep_min * 2^k] capped at [sleep_max]. Exposed so
-    [lib/check]'s config ablations can sweep the thresholds. *)
+    sleeps [sleep_min * 2^k] capped at [sleep_max]. Each round probes
+    [steal_tries] victims drawn from a per-worker int xorshift, so a
+    failed round allocates nothing. Exposed so [lib/check]'s config
+    ablations can sweep the thresholds. *)
 
 val default_backoff : backoff
 

@@ -4,6 +4,7 @@ type point = {
   mode : Runtime.Batcher_rt.mode;  (* batch-path mode of every shard *)
   requests : int;
   elapsed_ns : float;
+  offered : float;  (* requests / schedule span *)
   goodput : float;
   classes : Latency.class_stats list;
   batches : int;
@@ -202,6 +203,9 @@ let run_point ?workers ?snapshot_path ?duration_s
     mode;
     requests = n;
     elapsed_ns;
+    offered =
+      (let span = if n = 0 then 0 else schedule.(n - 1).Gen.arrive_ns in
+       if span > 0 then float_of_int n /. (float_of_int span /. 1e9) else 0.0);
     goodput =
       (if elapsed_ns > 0.0 then float_of_int n /. (elapsed_ns /. 1e9) else 0.0);
     classes = Latency.of_samples named;

@@ -16,6 +16,12 @@ type point = {
   mode : Runtime.Batcher_rt.mode;  (** batch-path mode of every shard *)
   requests : int;
   elapsed_ns : float;  (** wall time, first release to last completion *)
+  offered : float;
+      (** requests per second of the generated schedule: its request
+          count over the span from time 0 to the last arrival, bursts
+          included. The dispatcher starts the clock before the first
+          release and no request completes before its arrival, so
+          [goodput <= offered]. *)
   goodput : float;  (** completed requests per wall second *)
   classes : Latency.class_stats list;  (** ["all"] first *)
   batches : int;

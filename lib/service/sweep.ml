@@ -10,7 +10,10 @@
 
    Knee definition: a point *keeps up* when delivered goodput is at
    least [knee_threshold] of the offered rate; the knee is the highest
-   offered rate (in the swept grid) that keeps up. Goodput, measured
+   offered rate (in the swept grid) that keeps up. Offered is the
+   point's generated schedule, requests over its span, so on/off
+   bursts count; the base rate times the multiplier would understate
+   it and let goodput read above 100%. Goodput, measured
    on the driver's wall clock over an open-loop schedule, is the
    honest side of the ratio — offered load is fixed by the generator
    before the run, so a system past saturation shows a widening gap
@@ -20,7 +23,6 @@ type point = {
   mode : Runtime.Batcher_rt.mode;
   shards : int;
   mult : float;  (* rate multiplier applied to the scenario's rt_rate *)
-  offered_req_s : float;  (* rt_rate *. mult *)
   pt : Rt_driver.point;  (* goodput, digests, and the request trace *)
   shares : (string * float) list;  (* Obs.Reqtrace.shares of the point *)
 }
@@ -60,15 +62,15 @@ let knees_of_points ~modes ~shards points =
           let keeping =
             List.filter
               (fun p ->
-                p.offered_req_s > 0.0
-                && p.pt.Rt_driver.goodput /. p.offered_req_s >= knee_threshold)
+                p.pt.Rt_driver.offered > 0.0
+                && p.pt.Rt_driver.goodput /. p.pt.Rt_driver.offered >= knee_threshold)
               mine
           in
           let best =
             List.fold_left
               (fun acc p ->
                 match acc with
-                | Some b when b.offered_req_s >= p.offered_req_s -> acc
+                | Some b when b.pt.Rt_driver.offered >= p.pt.Rt_driver.offered -> acc
                 | _ -> Some p)
               None keeping
           in
@@ -77,7 +79,7 @@ let knees_of_points ~modes ~shards points =
               {
                 k_mode = mode;
                 k_shards = k;
-                knee_req_s = p.offered_req_s;
+                knee_req_s = p.pt.Rt_driver.offered;
                 knee_mult = p.mult;
                 k_absent = false;
               }
@@ -127,7 +129,6 @@ let run ?(mults = default_mults) ?(modes = [ Runtime.Batcher_rt.Faa_array ])
                   mode;
                   shards = k;
                   mult;
-                  offered_req_s = sc.Scenario.rt_rate *. mult;
                   pt;
                   shares = Obs.Reqtrace.(shares (totals pt.Rt_driver.trace));
                 })
@@ -170,7 +171,7 @@ let rows t =
           ([
              ("mult", Obs.Json.Float p.mult);
              ("p", Obs.Json.Int p.pt.Rt_driver.workers);
-             ("offered_req_s", Obs.Json.Float p.offered_req_s);
+             ("offered_req_s", Obs.Json.Float p.pt.Rt_driver.offered);
              ("goodput", Obs.Json.Float p.pt.Rt_driver.goodput);
              ("requests", Obs.Json.Int p.pt.Rt_driver.requests);
              ("p50_ns", Obs.Json.Float all.Latency.p50_ns);

@@ -12,8 +12,11 @@ type point = {
   mode : Runtime.Batcher_rt.mode;
   shards : int;
   mult : float;  (** rate multiplier applied to the scenario's rt_rate *)
-  offered_req_s : float;  (** the scenario's rt_rate ×. mult *)
-  pt : Rt_driver.point;  (** the traced run: goodput, digests, spans *)
+  pt : Rt_driver.point;
+      (** the traced run: offered load, goodput, digests, spans. Its
+          [offered] is the generated schedule's, bursts included — not
+          the base rt_rate ×. mult, which misses the bursts' extra
+          load *)
   shares : (string * float) list;
       (** {!Obs.Reqtrace.shares} of the point's trace:
           queue/sched/pending/exec shares of total latency (sum to 1)

@@ -645,6 +645,121 @@ let test_model_log2 () =
   Alcotest.(check int) "log2 1024" 10 (Batched.Model.log2_cost 1024);
   Alcotest.(check bool) "log2 small" true (Batched.Model.log2_cost 0 >= 1)
 
+(* ---------- paired search in the BOP ---------- *)
+
+module IS = Set.Make (Int)
+
+type sk_desc = Ins of int | Mem of int | Del of int | Rng of int * int
+
+let op_of_desc = function
+  | Ins k -> Sk.insert k
+  | Mem k -> Sk.mem k
+  | Del k -> Sk.delete k
+  | Rng (lo, hi) -> Sk.range ~lo ~hi
+
+let print_desc = function
+  | Ins k -> Printf.sprintf "ins %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+  | Del k -> Printf.sprintf "del %d" k
+  | Rng (lo, hi) -> Printf.sprintf "range [%d,%d)" lo hi
+
+(* Batches of 0-9 ops (odd sizes leave a key to walk alone) over a
+   small key pool, so keys repeat inside a search pair and across
+   pairs, plus 0 and max_int, the sentinel's own key. *)
+let arb_paired_batches =
+  let open QCheck.Gen in
+  let key = frequency [ (1, return 0); (1, return max_int); (6, int_bound 30) ] in
+  let desc =
+    frequency
+      [
+        (6, map (fun k -> Ins k) key);
+        (2, map (fun k -> Mem k) key);
+        (2, map (fun k -> Del k) key);
+        (1, map2 (fun a b -> Rng (min a b, max a b)) key key);
+      ]
+  in
+  QCheck.make
+    ~print:QCheck.Print.(pair int (list (list print_desc)))
+    (pair small_nat (list_size (0 -- 8) (list_size (0 -- 9) desc)))
+
+(* Runs one batch and checks every op's result against [model] under
+   the BOP's phase order: inserts (the first of equal keys in batch
+   order lands), then deletes, then queries. Returns the new model. *)
+let run_checked_batch ~pfor s model descs =
+  let ops = Array.of_list (List.map op_of_desc descs) in
+  Sk.run_batch_with ~pfor s ops;
+  let m = ref model in
+  let expect what ok = if not ok then QCheck.Test.fail_reportf "wrong %s" what in
+  Array.iter
+    (function
+      | Sk.Insert r ->
+          expect "inserted flag" (r.Sk.inserted = not (IS.mem r.Sk.key !m));
+          m := IS.add r.Sk.key !m
+      | Sk.Mem _ | Sk.Delete _ | Sk.Range _ -> ())
+    ops;
+  Array.iter
+    (function
+      | Sk.Delete r ->
+          expect "deleted flag" (r.Sk.deleted = IS.mem r.Sk.del_key !m);
+          m := IS.remove r.Sk.del_key !m
+      | Sk.Insert _ | Sk.Mem _ | Sk.Range _ -> ())
+    ops;
+  Array.iter
+    (function
+      | Sk.Mem r -> expect "mem" (r.Sk.found = IS.mem r.Sk.mem_key !m)
+      | Sk.Range r ->
+          expect "range"
+            (r.Sk.r_keys = IS.elements (IS.filter (fun k -> r.Sk.r_lo <= k && k < r.Sk.r_hi) !m))
+      | Sk.Insert _ | Sk.Delete _ -> ())
+    ops;
+  !m
+
+let prop_paired_search ~name ~count pfor =
+  QCheck.Test.make ~name ~count arb_paired_batches (fun (seed, batches) ->
+      let s = Sk.create ~seed () in
+      let model = List.fold_left (run_checked_batch ~pfor s) IS.empty batches in
+      Sk.check_invariants s;
+      Sk.to_list s = IS.elements model)
+
+let prop_paired_search_seq =
+  prop_paired_search ~name:"paired search: mixed batches match Set (sequential pfor)"
+    ~count:300 seq_pfor
+
+let test_paired_search_pool () =
+  let pool = Runtime.Pool.create ~num_workers:2 () in
+  Fun.protect
+    ~finally:(fun () -> Runtime.Pool.teardown pool)
+    (fun () ->
+      let pfor count body =
+        Runtime.Pool.run pool (fun () ->
+            Runtime.Pool.parallel_for pool ~grain:1 ~lo:0 ~hi:count body)
+      in
+      QCheck.Test.check_exn
+        (prop_paired_search ~name:"paired search: mixed batches match Set (2-worker pool)"
+           ~count:150 pfor))
+
+let test_search_phase_allocation () =
+  (* Each pfor item searches a pair of keys (the last of an odd batch
+     alone): it allocates the pair's two 32-entry update buffers and
+     nothing else, so the interleaved walk itself allocates nothing. *)
+  let s = Sk.create ~seed:5 () in
+  for k = 0 to 19_999 do
+    ignore (Sk.insert_seq s (2 * k))
+  done;
+  for size = 1 to 9 do
+    let items = ref [] in
+    let pfor count body =
+      for p = 0 to count - 1 do
+        items := minor_words_of (fun () -> body p) :: !items
+      done
+    in
+    let ops = Array.init size (fun i -> Sk.insert ((4000 * size) + (2 * i) + 1)) in
+    Sk.run_batch_with ~pfor s ops;
+    let expect = List.init ((size + 1) / 2) (fun p -> if (2 * p) + 1 < size then 2 * 33 else 33) in
+    Alcotest.(check (list int)) (Printf.sprintf "batch of %d" size) expect (List.rev !items)
+  done;
+  Sk.check_invariants s
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -654,6 +769,7 @@ let qcheck_cases =
       prop_skiplist_matches_set;
       prop_skiplist_with_deletes_matches_set;
       prop_skiplist_parallel_bop_matches_set;
+      prop_paired_search_seq;
       prop_two_three_matches_set;
       prop_two_three_with_deletes_matches_set;
       prop_pqueue_heapsort;
@@ -702,6 +818,8 @@ let () =
           Alcotest.test_case "check_invariants at 200k keys" `Quick
             test_skiplist_check_invariants_large;
           Alcotest.test_case "allocation" `Quick test_skiplist_allocation;
+          Alcotest.test_case "search phase allocation" `Quick test_search_phase_allocation;
+          Alcotest.test_case "paired search on a 2-worker pool" `Quick test_paired_search_pool;
         ] );
       ( "two_three",
         [

@@ -708,6 +708,50 @@ let test_batcher_rt_modes_parallel_bop () =
             (Batched.Skiplist.to_list sl)))
     Runtime.Batcher_rt.all_modes
 
+(* Minor words each of [pool]'s workers has allocated so far, read on
+   its own domain (Gc.minor_words is domain-local): [workers] barrier
+   tasks spin until all have started, which pins them to distinct
+   workers. *)
+let worker_minor_words pool workers =
+  let out = Array.make workers 0.0 in
+  let arrived = Atomic.make 0 in
+  Runtime.Pool.run pool (fun () ->
+      Runtime.Pool.parallel_for pool ~grain:1 ~lo:0 ~hi:workers (fun _ ->
+          let w = Option.value ~default:0 (Runtime.Pool.worker_index ()) in
+          Atomic.incr arrived;
+          while Atomic.get arrived < workers do
+            Domain.cpu_relax ()
+          done;
+          out.(w) <- Gc.minor_words ()));
+  out
+
+let test_pool_idle_steal_allocation () =
+  (* Worker 1 idles between two samples, running failed steal rounds
+     back to back (a pure-spin policy never sleeps): hundreds of
+     thousands of rounds in 0.2 s. What it allocates between the
+     samples must not grow with the idle time, i.e. a failed round
+     allocates nothing. *)
+  let open Runtime.Pool in
+  let backoff = { default_backoff with spin_limit = max_int; burst_limit = max_int } in
+  let workers = 2 in
+  let pool = create ~backoff ~num_workers:workers () in
+  Fun.protect
+    ~finally:(fun () -> teardown pool)
+    (fun () ->
+      let idle_words secs =
+        let before = worker_minor_words pool workers in
+        Unix.sleepf secs;
+        let after = worker_minor_words pool workers in
+        after.(1) -. before.(1)
+      in
+      (* The first pair of samples warms the pool up. *)
+      ignore (idle_words 0.0);
+      let short = idle_words 0.0 and long = idle_words 0.2 in
+      Alcotest.(check bool)
+        (Printf.sprintf "idle worker: %.0f words over 0.2 s vs %.0f over none" long short)
+        true
+        (long -. short < 64.0))
+
 let test_pool_backoff_config () =
   (* Extreme idle policies — pure spin and sleep-almost-immediately
      with one steal probe per round — must not affect results. *)
@@ -847,6 +891,8 @@ let () =
           Alcotest.test_case "single worker" `Quick test_pool_single_worker;
           Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
           Alcotest.test_case "backoff config" `Quick test_pool_backoff_config;
+          Alcotest.test_case "idle steal rounds allocate nothing" `Quick
+            test_pool_idle_steal_allocation;
           Alcotest.test_case "teardown under exception" `Quick
             test_pool_teardown_under_exception;
         ] );

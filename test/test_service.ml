@@ -352,6 +352,23 @@ let test_rt_driver_tiny () =
     && all.Svc.Latency.p99_ns <= all.Svc.Latency.p999_ns
     && all.Svc.Latency.p999_ns <= all.Svc.Latency.max_ns)
 
+let test_sweep_goodput_within_offered () =
+  (* Offered load is each point's generated schedule, bursts included,
+     so no swept point can deliver more than it was offered. *)
+  let sw =
+    Svc.Sweep.run ~mults:[ 0.5; 2.0 ] ~workers:2 ~duration_s:0.3 (smoke ())
+  in
+  List.iter
+    (fun (p : Svc.Sweep.point) ->
+      let offered = p.Svc.Sweep.pt.Svc.Rt_driver.offered
+      and goodput = p.Svc.Sweep.pt.Svc.Rt_driver.goodput in
+      Alcotest.(check bool)
+        (Printf.sprintf "x%g: goodput %.0f <= offered %.0f * 1.01" p.Svc.Sweep.mult goodput
+           offered)
+        true
+        (offered > 0.0 && goodput <= offered *. 1.01))
+    sw.Svc.Sweep.points
+
 (* ---------- per-request span traces through the drivers ---------- *)
 
 (* The acceptance property of the anatomy subsystem: on a real traced
@@ -886,6 +903,8 @@ let () =
         [
           Alcotest.test_case "sim smoke point" `Quick test_sim_driver_smoke;
           Alcotest.test_case "runtime tiny point" `Quick test_rt_driver_tiny;
+          Alcotest.test_case "sweep goodput within offered" `Quick
+            test_sweep_goodput_within_offered;
         ] );
       ( "reqtrace",
         [
